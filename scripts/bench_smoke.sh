@@ -6,12 +6,12 @@
 # full paper-scale benchmark run.
 #
 # Usage: scripts/bench_smoke.sh [output.json]
-#   output.json   where to write the bench JSON (default build/BENCH_pr3.json)
+#   output.json   where to write the bench JSON (default build/BENCH_smoke.json)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-build/BENCH_pr3.json}"
+out="${1:-build/BENCH_smoke.json}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 cmake -B build -S . >/dev/null

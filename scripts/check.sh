@@ -380,7 +380,7 @@ cmake -B build-asan -S . -DCPR_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$jobs"
 # Leak detection is off: Z3 keeps global state alive at exit.
 ASAN_OPTIONS=detect_leaks=0 ctest --test-dir build-asan --output-on-failure \
-  -j "$jobs" -R 'Robust|Repair|Workload|Solver|Smt|Sat|MaxSat|Failover|FaultInjection|Backend|Obs|Counter|Gauge|Histogram|Registry|Span|Json|Daemon|Checkpoint|SnapshotCache|Wire|Compress|Incremental|DirtySet|PrepareHarc|WarmBackend|Session|Certify|Rup|ProofLog|Artifact|Expose|EventLog|FlightRecorder|TraceId'
+  -j "$jobs" -R 'Robust|Repair|Workload|Solver|Smt|Sat|MaxSat|Simulat|Failover|FaultInjection|Backend|Obs|Counter|Gauge|Histogram|Registry|Span|Json|Daemon|Checkpoint|SnapshotCache|Wire|Compress|Incremental|DirtySet|PrepareHarc|WarmBackend|Session|Certify|Rup|ProofLog|Artifact|Expose|EventLog|FlightRecorder|TraceId'
 
 echo "== TSan configuration =="
 cmake -B build-tsan -S . -DCPR_TSAN=ON >/dev/null

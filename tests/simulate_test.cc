@@ -192,6 +192,35 @@ TEST(SimulatorTest, WaypointCrossingRecorded) {
   EXPECT_TRUE(to_u.crossed_waypoint);  // C -> B crosses the firewall link.
 }
 
+// PC3 with k <= 0 quantifies over "fewer than k failures", an empty range:
+// it holds vacuously, as in the graph checker, instead of falling through to
+// an enumeration of every link subset. A negative failure cap counts as 0.
+TEST(SimulatorTest, NonPositiveBoundsClampToZero) {
+  Network network = BuildExampleNetwork();
+  Harc harc = Harc::Build(network);
+  SubnetId s = *network.FindSubnet(ExampleSubnetS());
+  SubnetId t = *network.FindSubnet(ExampleSubnetT());
+  SubnetId u = *network.FindSubnet(ExampleSubnetU());
+  Simulator simulator(network);
+  for (int k : {0, -1, -7}) {
+    // S -> U is blocked under every failure set, yet "< k failures" names none.
+    Policy policy = Policy::Reachability(s, u, k);
+    EXPECT_TRUE(VerifyPolicy(harc, policy)) << k;
+    EXPECT_TRUE(CheckPolicyBySimulation(network, policy, 2)) << k;
+    SimulationCounters counters;
+    EXPECT_TRUE(simulator.Violations({policy}, 2, &counters).empty());
+    EXPECT_EQ(counters.failure_sets, 0);
+  }
+
+  const std::vector<Policy> policies = {
+      Policy::AlwaysBlocked(s, u), Policy::AlwaysWaypoint(s, t),
+      Policy::Reachability(s, t, 1), Policy::AlwaysBlocked(s, t)};
+  SimulationCounters counters;
+  EXPECT_EQ(simulator.Violations(policies, -3, &counters),
+            FindSimulationViolations(network, policies, 0));
+  EXPECT_EQ(counters.failure_sets, 2);  // The empty set, once per destination.
+}
+
 // On networks whose filters sit at destination choke points (the DC dataset
 // pattern), the ETG verifier and the simulator must agree on every inferred
 // policy — the model-vs-execution alignment the end-to-end validation rests

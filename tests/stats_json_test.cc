@@ -141,6 +141,38 @@ TEST_F(StatsJsonTest, SolveWallAtMostSumForSingleThread) {
   EXPECT_LE(stats.solve_seconds, stats.wall_seconds + 1e-9);
 }
 
+TEST_F(StatsJsonTest, CarriesSimulatorCounters) {
+  // With the simulator on, its work shows up as registry counters in the
+  // document (and, through the same registry, in `cprd scrape`).
+  CprOptions options;
+  options.repair.backend = BackendChoice::kInternal;
+  options.validate_with_simulator = true;
+  Result<CprReport> report = cpr_->Repair(policies_, options);
+  ASSERT_TRUE(report.ok());
+  report_ = *report;
+
+  StatsRunInfo run;
+  run.command = "repair";
+  run.backend = "internal";
+  run.status = RepairStatusName(report_.status);
+  std::string json = BuildStatsJson(run, &report_);
+  std::string error;
+  ASSERT_TRUE(obs::ValidateJson(json, &error)) << error << "\n" << json;
+  const size_t counters = json.find("\"counters\":");
+  ASSERT_NE(counters, std::string::npos);
+  for (const char* name : {"simulate.route_tables", "simulate.failure_sets",
+                           "simulate.branches_pruned", "simulate.early_exits"}) {
+    EXPECT_NE(json.find(std::string("\"") + name + "\":", counters), std::string::npos)
+        << "missing counter " << name << "\n" << json;
+  }
+  obs::Registry& registry = obs::Registry::Global();
+  EXPECT_GT(registry.counter("simulate.route_tables").value(), 0);
+  EXPECT_GT(registry.counter("simulate.failure_sets").value(), 0);
+  // Every failure set needs one table per destination it is judged for.
+  EXPECT_GE(registry.counter("simulate.route_tables").value(),
+            registry.counter("simulate.failure_sets").value());
+}
+
 TEST_F(StatsJsonTest, CertifySectionIsSchemaOneAndValidates) {
   // A certified repair must surface the checker's verdicts in a versioned
   // "certify" section that the strict validator (the same engine behind
