@@ -87,6 +87,8 @@ for key in '"schema_version"' '"stages"' '"counters"' '"gauges"' \
     exit 1
   fi
 done
+# Schema check of the repair section, including the two-round counters.
+build/tools/cpr_json_validate --stats "$stats_json"
 echo "stats smoke OK ($(wc -c < "$stats_json") bytes)"
 
 echo "== cpr explain smoke =="

@@ -76,6 +76,8 @@ void AccumulateStats(const RepairStats& from, RepairStats* into,
   into->problems_solved += from.problems_solved;
   into->problems_failed += from.problems_failed;
   into->destinations_skipped += from.destinations_skipped;
+  into->policies_deferred += from.policies_deferred;
+  into->groups_escalated += from.groups_escalated;
   into->encode_seconds += from.encode_seconds;
   into->solve_seconds += from.solve_seconds;
   into->solve_wall_seconds += from.solve_wall_seconds;
@@ -318,14 +320,20 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
       // re-expressing every id in concrete terms.
       const int problem_base = static_cast<int>(merged.problem_reports.size());
       AccumulateStats(solved->stats, &merged, &counter_totals);
-      for (ProblemReport report : solved->stats.problem_reports) {
+      auto concrete = [&](ProblemReport report) {
         std::vector<SubnetId> concrete_dsts;
         for (SubnetId dst : report.dsts) {
           const auto& members = quotient->subnet_members[static_cast<size_t>(dst)];
           concrete_dsts.insert(concrete_dsts.end(), members.begin(), members.end());
         }
         report.dsts = std::move(concrete_dsts);
-        merged.problem_reports.push_back(std::move(report));
+        return report;
+      };
+      for (const ProblemReport& report : solved->stats.problem_reports) {
+        merged.problem_reports.push_back(concrete(report));
+      }
+      for (const ProblemReport& report : solved->stats.superseded_reports) {
+        merged.superseded_reports.push_back(concrete(report));
       }
       std::vector<std::string> dst_names;
       for (SubnetId dst : group.dsts) {
@@ -434,6 +442,9 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
     AccumulateStats(fallback->stats, &merged, &counter_totals);
     for (const ProblemReport& report : fallback->stats.problem_reports) {
       merged.problem_reports.push_back(report);
+    }
+    for (const ProblemReport& report : fallback->stats.superseded_reports) {
+      merged.superseded_reports.push_back(report);
     }
     for (obs::ProvenanceChain chain : fallback->provenance.chains) {
       chain.problem += problem_base;

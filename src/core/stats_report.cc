@@ -89,6 +89,39 @@ void WriteCounterPairs(obs::JsonWriter* w,
   w->EndObject();
 }
 
+void WriteProblem(obs::JsonWriter* w, const ProblemReport& problem) {
+  w->BeginObject();
+  w->Key("dsts").BeginArray();
+  for (SubnetId dst : problem.dsts) {
+    w->Int(dst);
+  }
+  w->EndArray();
+  w->Key("status").String(MaxSmtStatusName(problem.status));
+  w->Key("attempts").Int(problem.attempts);
+  w->Key("backend").String(problem.backend);
+  w->Key("solve_seconds").Double(problem.solve_seconds);
+  w->Key("cost").Int(problem.cost);
+  w->Key("message").String(problem.message);
+  w->Key("certification").String(CertificationName(problem.certification));
+  w->Key("certify_message").String(problem.certify_message);
+  w->Key("solver_counters");
+  WriteCounterPairs(w, problem.solver_counters);
+  w->Key("violated_softs").BeginArray();
+  for (const auto& [label, weight] : problem.violated_softs) {
+    w->BeginObject();
+    w->Key("label").String(label);
+    w->Key("weight").Int(weight);
+    w->EndObject();
+  }
+  w->EndArray();
+  w->Key("unsat_core").BeginArray();
+  for (const std::string& label : problem.unsat_core_labels) {
+    w->String(label);
+  }
+  w->EndArray();
+  w->EndObject();
+}
+
 void WriteRepair(obs::JsonWriter* w, const CprReport& report) {
   const RepairStats& stats = report.stats;
   w->Key("repair").BeginObject();
@@ -101,6 +134,8 @@ void WriteRepair(obs::JsonWriter* w, const CprReport& report) {
   w->Key("problems_solved").Int(stats.problems_solved);
   w->Key("problems_failed").Int(stats.problems_failed);
   w->Key("destinations_skipped").Int(stats.destinations_skipped);
+  w->Key("policies_deferred").Int(stats.policies_deferred);
+  w->Key("groups_escalated").Int(stats.groups_escalated);
   w->Key("encode_seconds").Double(stats.encode_seconds);
   w->Key("solve_seconds_sum").Double(stats.solve_seconds);
   w->Key("solve_wall_seconds").Double(stats.solve_wall_seconds);
@@ -119,36 +154,12 @@ void WriteRepair(obs::JsonWriter* w, const CprReport& report) {
   WriteCounterPairs(w, stats.solver_counter_totals);
   w->Key("problems").BeginArray();
   for (const ProblemReport& problem : stats.problem_reports) {
-    w->BeginObject();
-    w->Key("dsts").BeginArray();
-    for (SubnetId dst : problem.dsts) {
-      w->Int(dst);
-    }
-    w->EndArray();
-    w->Key("status").String(MaxSmtStatusName(problem.status));
-    w->Key("attempts").Int(problem.attempts);
-    w->Key("backend").String(problem.backend);
-    w->Key("solve_seconds").Double(problem.solve_seconds);
-    w->Key("cost").Int(problem.cost);
-    w->Key("message").String(problem.message);
-    w->Key("certification").String(CertificationName(problem.certification));
-    w->Key("certify_message").String(problem.certify_message);
-    w->Key("solver_counters");
-    WriteCounterPairs(w, problem.solver_counters);
-    w->Key("violated_softs").BeginArray();
-    for (const auto& [label, weight] : problem.violated_softs) {
-      w->BeginObject();
-      w->Key("label").String(label);
-      w->Key("weight").Int(weight);
-      w->EndObject();
-    }
-    w->EndArray();
-    w->Key("unsat_core").BeginArray();
-    for (const std::string& label : problem.unsat_core_labels) {
-      w->String(label);
-    }
-    w->EndArray();
-    w->EndObject();
+    WriteProblem(w, problem);
+  }
+  w->EndArray();
+  w->Key("superseded_problems").BeginArray();
+  for (const ProblemReport& problem : stats.superseded_reports) {
+    WriteProblem(w, problem);
   }
   w->EndArray();
   w->EndObject();

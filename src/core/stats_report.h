@@ -21,7 +21,7 @@
 //       "status", "predicted_cost", "lines_changed",
 //       "traffic_classes_impacted", "problems_formulated",
 //       "problems_solved", "problems_failed", "destinations_skipped",
-//       "encode_seconds", "solve_seconds_sum", "solve_wall_seconds",
+//       "policies_deferred", "groups_escalated", "encode_seconds", "solve_seconds_sum", "solve_wall_seconds",
 //       "wall_seconds", "bool_vars", "hard_constraints",
 //       "soft_constraints", "residual_graph_violations",
 //       "residual_simulation_violations",
@@ -31,7 +31,8 @@
 //                       "certification", "certify_message",
 //                       "solver_counters": { ... },
 //                       "violated_softs": [ { "label", "weight" }, ... ],
-//                       "unsat_core": [ "<label>", ... ] }, ... ]
+//                       "unsat_core": [ "<label>", ... ] }, ... ],
+//       "superseded_problems": [ <same shape as "problems"> ]
 //     },
 //     "certify": {                     // present only when a repair ran
 //       "schema_version": 1, "mode", "checked", "verified", "failed",

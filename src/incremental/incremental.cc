@@ -37,6 +37,8 @@ void MergeRepairStats(RepairStats* into, RepairStats&& from) {
   into->problems_solved += from.problems_solved;
   into->problems_failed += from.problems_failed;
   into->destinations_skipped += from.destinations_skipped;
+  into->policies_deferred += from.policies_deferred;
+  into->groups_escalated += from.groups_escalated;
   into->encode_seconds += from.encode_seconds;
   into->solve_seconds += from.solve_seconds;
   into->solve_wall_seconds += from.solve_wall_seconds;
@@ -45,6 +47,7 @@ void MergeRepairStats(RepairStats* into, RepairStats&& from) {
   into->hard_constraints += from.hard_constraints;
   into->soft_constraints += from.soft_constraints;
   MoveAppend(&into->problem_reports, std::move(from.problem_reports));
+  MoveAppend(&into->superseded_reports, std::move(from.superseded_reports));
   for (auto& [name, value] : from.solver_counter_totals) {
     bool found = false;
     for (auto& [existing, total] : into->solver_counter_totals) {

@@ -111,11 +111,12 @@ std::map<int, std::set<SubnetId>> GroupPoliciedDsts(const Harc& harc,
   return members;
 }
 
-}  // namespace
-
-std::vector<RepairProblem> PartitionProblems(const Harc& harc,
-                                             const std::vector<Policy>& policies,
-                                             const RepairOptions& options) {
+// PartitionProblems over a precomputed violation list, so ComputeRepair can
+// reuse the same list to split each group's policies into rounds.
+std::vector<RepairProblem> PartitionWithViolations(const Harc& harc,
+                                                   const std::vector<Policy>& policies,
+                                                   const RepairOptions& options,
+                                                   const std::vector<Policy>& violations) {
   std::vector<RepairProblem> problems;
   if (policies.empty()) {
     return problems;
@@ -133,7 +134,6 @@ std::vector<RepairProblem> PartitionProblems(const Harc& harc,
   // destinations coupled by shared state must be solved together:
   // PC4 policies share global edge costs (all their destinations form one
   // group), and an isolation policy's two destinations constrain each other.
-  std::vector<Policy> violations = FindViolations(harc, policies);
   std::set<SubnetId> violated_dsts;
   for (const Policy& policy : violations) {
     violated_dsts.insert(policy.dst);
@@ -154,6 +154,17 @@ std::vector<RepairProblem> PartitionProblems(const Harc& harc,
     }
   }
   return problems;
+}
+
+}  // namespace
+
+std::vector<RepairProblem> PartitionProblems(const Harc& harc,
+                                             const std::vector<Policy>& policies,
+                                             const RepairOptions& options) {
+  if (options.granularity == Granularity::kAllTcs) {
+    return PartitionWithViolations(harc, policies, options, {});
+  }
+  return PartitionWithViolations(harc, policies, options, FindViolations(harc, policies));
 }
 
 std::vector<RepairProblem> PartitionAllGroups(const Harc& harc,
@@ -201,9 +212,9 @@ class BorrowedBackend final : public MaxSmtBackend {
 // Stable per-problem identity for warm-state retention: the destination
 // group. Groups are disjoint within a run, so the key also serializes access
 // to the provider's per-key backend instance.
-std::string ProblemKey(const RepairProblem& problem) {
+std::string ProblemKey(const std::vector<SubnetId>& dsts) {
   std::string key = "d";
-  for (SubnetId d : problem.dsts) {
+  for (SubnetId d : dsts) {
     key += ':';
     key += std::to_string(d);
   }
@@ -253,6 +264,273 @@ std::unique_ptr<MaxSmtBackend> MakeWorkerBackend(const RepairOptions& options,
   return MakeFailoverBackend(std::move(primary), std::move(secondary), policy);
 }
 
+namespace {
+
+// One solver call: the system to solve, the warm-state key of its group, and
+// where its result and elapsed time land.
+struct SolveJob {
+  const ConstraintSystem* system = nullptr;
+  std::string key;
+  MaxSmtResult* model = nullptr;
+  double* seconds = nullptr;
+};
+
+// Solves every job, optionally in parallel, largest first (by hard
+// constraint count) so the longest solve never starts last. Every result is
+// recorded individually: a failed problem (timeout/unsat/unsupported/error)
+// never aborts the run, and an exception in a backend is converted to a
+// result instead of terminating the worker thread. Each solve runs on its
+// own fresh backend state, so the order never changes a model.
+void SolveJobs(std::vector<SolveJob> jobs, const RepairOptions& options,
+               const Deadline& deadline) {
+  std::stable_sort(jobs.begin(), jobs.end(), [](const SolveJob& a, const SolveJob& b) {
+    return a.system->hard().size() > b.system->hard().size();
+  });
+  // Workers and pool tasks inherit the submitting thread's registry and
+  // trace, so a per-request RegistryScope installed around the repair covers
+  // the whole parallel solve — concurrent requests never interleave counts.
+  obs::Registry* request_registry = &obs::CurrentRegistry();
+  obs::Trace* request_trace = &obs::CurrentTrace();
+  auto solve_one = [&](const SolveJob& job, MaxSmtBackend* backend) {
+    MaxSmtResult& model = *job.model;
+    if (deadline.Expired()) {
+      model.status = MaxSmtResult::Status::kTimeout;
+      model.backend = backend->name();
+      model.attempts = 0;
+      model.message = "wall-clock deadline exhausted before solving";
+      obs::CurrentRegistry().counter("repair.deadline_skips").Increment();
+      return;
+    }
+    obs::StageSpan problem_span("repair.problem");
+    Clock::time_point start = Clock::now();
+    try {
+      const double budget = deadline.ClampTimeout(options.timeout_seconds);
+      model = options.certify != certify::CertifyMode::kOff
+                  ? backend->SolveCertified(*job.system, budget)
+                  : backend->Solve(*job.system, budget);
+    } catch (const std::exception& e) {
+      // The failover decorator already catches; this is the last line of
+      // defense so a worker can never call std::terminate.
+      model = MaxSmtResult{};
+      model.status = MaxSmtResult::Status::kError;
+      model.message = e.what();
+    } catch (...) {
+      model = MaxSmtResult{};
+      model.status = MaxSmtResult::Status::kError;
+      model.message = "unknown exception in solver worker";
+    }
+    *job.seconds = Seconds(start);
+    // Per-problem solver events for trace exports (--trace-out).
+    problem_span.Annotate("problem", job.key);
+    problem_span.Annotate("backend", model.backend);
+    problem_span.Annotate("status", MaxSmtStatusName(model.status));
+    problem_span.Annotate("cost", std::to_string(model.cost));
+    obs::CurrentRegistry().histogram("repair.problem_solve_seconds").Observe(*job.seconds);
+  };
+  auto backend_for = [&](const SolveJob& job) {
+    MaxSmtBackend* warm = options.warm_backends == nullptr
+                              ? nullptr
+                              : options.warm_backends->BackendFor(job.key, options.backend);
+    return MakeWorkerBackend(options, deadline, warm);
+  };
+  if (options.solve_runner != nullptr) {
+    // Shared-executor mode: one task per problem, so the per-dst problems of
+    // concurrent repair requests interleave fairly across one bounded pool.
+    // Each task builds its own backend (Z3 contexts are per call; internal
+    // backend construction is cheap) and the submitter blocks until every
+    // one of *its* tasks finished — tasks never block on other tasks, so a
+    // fixed-size pool cannot deadlock.
+    std::mutex done_mu;
+    std::condition_variable done_cv;
+    size_t done = 0;
+    for (const SolveJob& job : jobs) {
+      options.solve_runner->Submit([&, job]() {
+        {
+          obs::RegistryScope registry_scope(request_registry);
+          obs::TraceScope trace_scope(request_trace);
+          std::unique_ptr<MaxSmtBackend> backend = backend_for(job);
+          solve_one(job, backend.get());
+        }
+        {
+          // Notify while still holding the lock: the waiting submitter owns
+          // done_mu/done_cv on its stack, and the moment it observes the
+          // final count it may return and destroy both. Signalling after
+          // unlock would race with that destruction.
+          std::lock_guard<std::mutex> lock(done_mu);
+          ++done;
+          done_cv.notify_one();
+        }
+      });
+    }
+    std::unique_lock<std::mutex> lock(done_mu);
+    done_cv.wait(lock, [&] { return done == jobs.size(); });
+    return;
+  }
+  std::atomic<size_t> next{0};
+  auto worker = [&]() {
+    obs::RegistryScope registry_scope(request_registry);
+    obs::TraceScope trace_scope(request_trace);
+    // Without warm state one solver stack serves the whole worker; with a
+    // provider the primary is problem-keyed, so the stack is per problem.
+    std::unique_ptr<MaxSmtBackend> shared;
+    if (options.warm_backends == nullptr) {
+      shared = MakeWorkerBackend(options, deadline);
+    }
+    while (true) {
+      size_t index = next.fetch_add(1);
+      if (index >= jobs.size()) {
+        return;
+      }
+      if (options.warm_backends != nullptr) {
+        std::unique_ptr<MaxSmtBackend> backend = backend_for(jobs[index]);
+        solve_one(jobs[index], backend.get());
+      } else {
+        solve_one(jobs[index], shared.get());
+      }
+    }
+  };
+  int worker_count =
+      std::max(1, std::min<int>(options.num_threads, static_cast<int>(jobs.size())));
+  if (worker_count == 1) {
+    worker();
+    return;
+  }
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<size_t>(worker_count));
+  for (int i = 0; i < worker_count; ++i) {
+    threads.emplace_back(worker);
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+}
+
+// The merge's traffic-class rule: an un-encoded traffic class follows its
+// (repaired) dETG minus the ACLs configured in the network.
+void DeriveTcEtg(const Network& network, const EtgUniverse& universe, SubnetId src,
+                 SubnetId dst, const Etg& detg, Etg* tcetg) {
+  const TrafficClass tc(network.subnets()[static_cast<size_t>(src)].prefix,
+                        network.subnets()[static_cast<size_t>(dst)].prefix);
+  for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
+    const CandidateEdge& edge = universe.edge(e);
+    bool value = detg.IsPresent(e);
+    if (value) {
+      switch (edge.kind) {
+        case EtgEdgeKind::kInterDevice:
+          value = !LinkAclBlocks(network, edge.link, edge.device, tc);
+          break;
+        case EtgEdgeKind::kEndpointSrc:
+          value = edge.subnet == src &&
+                  !EndpointAclBlocks(network, edge.subnet, /*src_side=*/true, tc);
+          break;
+        case EtgEdgeKind::kEndpointDst:
+          value = edge.subnet == dst &&
+                  !EndpointAclBlocks(network, edge.subnet, /*src_side=*/false, tc);
+          break;
+        case EtgEdgeKind::kIntraSelf:
+        case EtgEdgeKind::kRedistribution:
+          break;
+      }
+    }
+    tcetg->SetPresent(e, value);
+  }
+}
+
+// Whether a satisfied policy may be left out of its group's first round.
+// The graph checks of PC1-PC3 agree with their encodings (PC3's when each
+// link backs one adjacency per direction), so a first-round model that
+// passes them extends to a model of the full encoding at the same cost.
+// PC4's checker accepts equal-cost ties its encoding forbids, and PC5's
+// ignores edges stranded off every path, so those are always encoded.
+bool Deferrable(const Policy& policy, const std::vector<Policy>& violations) {
+  switch (policy.pc) {
+    case PolicyClass::kAlwaysBlocked:
+    case PolicyClass::kAlwaysWaypoint:
+    case PolicyClass::kReachability:
+      return std::find(violations.begin(), violations.end(), policy) == violations.end();
+    case PolicyClass::kPrimaryPath:
+    case PolicyClass::kIsolation:
+      return false;
+  }
+  return false;
+}
+
+// A formulated destination group across its solve rounds. `encoded` is the
+// problem the current encoder holds: first the group's undeferred policies,
+// then (after an escalation) `full`, the whole-group problem.
+struct Group {
+  RepairProblem full;
+  RepairProblem encoded;
+  std::vector<Policy> deferred;
+  std::unique_ptr<RepairEncoder> encoder;
+  MaxSmtResult model;
+  double seconds = 0;
+  RepairEdits edits;  // The model's construct edits (solved groups only).
+};
+
+// Writes a solved model's layers into `repaired`.
+void DecodeLayers(const Group& group, Harc* repaired) {
+  const EtgUniverse& universe = repaired->universe();
+  const RepairEncoder& encoder = *group.encoder;
+  if (group.encoded.mutable_aetg) {
+    for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
+      repaired->mutable_aetg().SetPresent(e, encoder.DecodeAll(group.model, e));
+    }
+  }
+  for (SubnetId dst : group.encoded.dsts) {
+    for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
+      repaired->mutable_detg(dst).SetPresent(e, encoder.DecodeDst(group.model, dst, e));
+    }
+  }
+  for (const auto& [src, dst] : group.encoded.tcs) {
+    for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
+      repaired->mutable_tcetg(src, dst).SetPresent(
+          e, encoder.DecodeTc(group.model, src, dst, e));
+    }
+  }
+}
+
+// Checks a first-round model against the group's deferred policies on the
+// graph: the model's layers are already in `repaired`; traffic classes the
+// round did not encode are derived by the merge's rule (their ACLs keep the
+// configured values), then each deferred policy is verified with the
+// waypoints this model placed. True when every deferred policy still holds.
+bool DeferredPoliciesHold(const Group& group, Harc* repaired) {
+  const Network& network = repaired->network();
+  const EtgUniverse& universe = repaired->universe();
+  for (const auto& [src, dst] : group.full.tcs) {
+    if (!std::binary_search(group.encoded.tcs.begin(), group.encoded.tcs.end(),
+                            std::make_pair(src, dst))) {
+      DeriveTcEtg(network, universe, src, dst, repaired->detg(dst),
+                  &repaired->mutable_tcetg(src, dst));
+    }
+  }
+  std::set<LinkId> new_waypoints;
+  for (const WaypointEdit& waypoint : group.edits.waypoints) {
+    new_waypoints.insert(waypoint.link);
+  }
+  return std::all_of(group.deferred.begin(), group.deferred.end(), [&](const Policy& p) {
+    return p.pc == PolicyClass::kAlwaysWaypoint
+               ? CheckAlwaysWaypoint(*repaired, p.src, p.dst, new_waypoints)
+               : VerifyPolicy(*repaired, p);
+  });
+}
+
+// Puts back the original layers a group's discarded model overwrote.
+void RestoreLayers(const Harc& original, const RepairProblem& full, Harc* repaired) {
+  if (full.mutable_aetg) {
+    repaired->mutable_aetg() = original.aetg();
+  }
+  for (SubnetId dst : full.dsts) {
+    repaired->mutable_detg(dst) = original.detg(dst);
+  }
+  for (const auto& [src, dst] : full.tcs) {
+    repaired->mutable_tcetg(src, dst) = original.tcetg(src, dst);
+  }
+}
+
+}  // namespace
+
 Result<RepairOutcome> ComputeRepair(const Harc& original,
                                     const std::vector<Policy>& policies,
                                     const RepairOptions& options) {
@@ -277,260 +555,200 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
   }
   outcome.repaired = original;
 
-  std::vector<RepairProblem> problems;
+  // Partition into destination groups. Each group's first round encodes
+  // only what the graph check cannot vouch for — its violated policies —
+  // and defers the rest (DESIGN.md §4).
+  std::vector<Group> groups;
   {
     obs::StageSpan partition_span("repair.partition");
-    problems = PartitionProblems(original, policies, options);
+    const std::vector<Policy> violations =
+        policies.empty() ? std::vector<Policy>{} : FindViolations(original, policies);
+    std::vector<RepairProblem> problems =
+        PartitionWithViolations(original, policies, options, violations);
+    groups.resize(problems.size());
+    for (size_t i = 0; i < problems.size(); ++i) {
+      Group& group = groups[i];
+      group.full = std::move(problems[i]);
+      std::vector<Policy> kept;
+      for (const Policy& policy : group.full.policies) {
+        (Deferrable(policy, violations) ? group.deferred : kept).push_back(policy);
+      }
+      group.encoded = MakeProblem(
+          kept, std::set<SubnetId>(group.full.dsts.begin(), group.full.dsts.end()),
+          group.full.mutable_aetg);
+      outcome.stats.policies_deferred += static_cast<int>(group.deferred.size());
+    }
   }
   std::set<SubnetId> policied_dsts;
   for (const Policy& policy : policies) {
     policied_dsts.insert(policy.dst);
   }
-  outcome.stats.problems_formulated = static_cast<int>(problems.size());
+  outcome.stats.problems_formulated = static_cast<int>(groups.size());
   outcome.stats.destinations_skipped =
       static_cast<int>(policied_dsts.size()) -
       static_cast<int>([&] {
         std::set<SubnetId> covered;
-        for (const RepairProblem& p : problems) {
-          covered.insert(p.dsts.begin(), p.dsts.end());
+        for (const Group& g : groups) {
+          covered.insert(g.full.dsts.begin(), g.full.dsts.end());
         }
         return covered.size();
       }());
-  if (problems.empty()) {
+  obs::Registry& registry = obs::CurrentRegistry();
+  registry.counter("repair.policies_deferred").Add(outcome.stats.policies_deferred);
+  if (groups.empty()) {
     outcome.status = RepairStatus::kNoViolations;
     outcome.stats.wall_seconds = Seconds(wall_start);
     return outcome;
   }
 
-  // Encode every problem.
-  Clock::time_point encode_start = Clock::now();
-  std::vector<std::unique_ptr<RepairEncoder>> encoders;
-  encoders.reserve(problems.size());
-  {
-    obs::StageSpan encode_span("repair.encode");
-    for (const RepairProblem& problem : problems) {
-      auto encoder = std::make_unique<RepairEncoder>(original, problem, options);
-      Status status = encoder->Encode();
-      if (!status.ok()) {
-        return status.error();
+  // Encodes, solves and reports one round over `round` (group indices).
+  // Group i's latest solve is problem_reports[i].
+  std::map<std::string, double> counter_totals;
+  outcome.stats.problem_reports.resize(groups.size());
+  auto run_round = [&](const std::vector<size_t>& round) -> Status {
+    Clock::time_point encode_start = Clock::now();
+    {
+      obs::StageSpan encode_span("repair.encode");
+      for (size_t i : round) {
+        Group& group = groups[i];
+        group.encoder = std::make_unique<RepairEncoder>(original, group.encoded, options);
+        Status status = group.encoder->Encode();
+        if (!status.ok()) {
+          return status;
+        }
+        const ConstraintSystem& system = group.encoder->system();
+        outcome.stats.bool_vars += system.BoolCount();
+        outcome.stats.hard_constraints += static_cast<int64_t>(system.hard().size());
+        outcome.stats.soft_constraints += static_cast<int64_t>(system.soft().size());
       }
-      outcome.stats.bool_vars += encoder->system().BoolCount();
-      outcome.stats.hard_constraints += static_cast<int64_t>(encoder->system().hard().size());
-      outcome.stats.soft_constraints += static_cast<int64_t>(encoder->system().soft().size());
-      encoders.push_back(std::move(encoder));
     }
-  }
-  outcome.stats.encode_seconds = Seconds(encode_start);
-  {
-    obs::Registry& registry = obs::CurrentRegistry();
+    outcome.stats.encode_seconds += Seconds(encode_start);
     registry.gauge("repair.problems_formulated").Set(outcome.stats.problems_formulated);
     registry.gauge("repair.bool_vars").Set(outcome.stats.bool_vars);
     registry.gauge("repair.hard_constraints").Set(outcome.stats.hard_constraints);
     registry.gauge("repair.soft_constraints").Set(outcome.stats.soft_constraints);
-  }
 
-  // Solve, optionally in parallel. Every per-problem outcome is recorded
-  // individually: a failed problem (timeout/unsat/unsupported/error) never
-  // aborts the run, and an exception in a backend is converted to a result
-  // instead of terminating the worker thread.
-  std::vector<MaxSmtResult> models(problems.size());
-  std::vector<double> solve_times(problems.size(), 0.0);
-  // Workers and pool tasks inherit the submitting thread's registry and
-  // trace, so a per-request RegistryScope installed around the repair covers
-  // the whole parallel solve — concurrent requests never interleave counts.
-  obs::Registry* request_registry = &obs::CurrentRegistry();
-  obs::Trace* request_trace = &obs::CurrentTrace();
-  auto solve_one = [&](size_t index, MaxSmtBackend* backend) {
-    if (deadline.Expired()) {
-      models[index].status = MaxSmtResult::Status::kTimeout;
-      models[index].backend = backend->name();
-      models[index].attempts = 0;
-      models[index].message = "wall-clock deadline exhausted before solving";
-      obs::CurrentRegistry().counter("repair.deadline_skips").Increment();
-      return;
+    std::vector<SolveJob> jobs;
+    for (size_t i : round) {
+      Group& group = groups[i];
+      group.model = MaxSmtResult{};
+      group.seconds = 0;
+      jobs.push_back({&group.encoder->system(), ProblemKey(group.full.dsts), &group.model,
+                      &group.seconds});
     }
-    obs::StageSpan problem_span("repair.problem");
-    Clock::time_point start = Clock::now();
-    try {
-      const double budget = deadline.ClampTimeout(options.timeout_seconds);
-      models[index] = options.certify != certify::CertifyMode::kOff
-                          ? backend->SolveCertified(encoders[index]->system(), budget)
-                          : backend->Solve(encoders[index]->system(), budget);
-    } catch (const std::exception& e) {
-      // The failover decorator already catches; this is the last line of
-      // defense so a worker can never call std::terminate.
-      models[index] = MaxSmtResult{};
-      models[index].status = MaxSmtResult::Status::kError;
-      models[index].message = e.what();
-    } catch (...) {
-      models[index] = MaxSmtResult{};
-      models[index].status = MaxSmtResult::Status::kError;
-      models[index].message = "unknown exception in solver worker";
+    Clock::time_point solve_start = Clock::now();
+    {
+      obs::StageSpan solve_span("repair.solve");
+      SolveJobs(std::move(jobs), options, deadline);
     }
-    solve_times[index] = Seconds(start);
-    // Per-problem solver events for trace exports (--trace-out).
-    problem_span.Annotate("problem", std::to_string(index));
-    problem_span.Annotate("backend", models[index].backend);
-    problem_span.Annotate("status", MaxSmtStatusName(models[index].status));
-    problem_span.Annotate("cost", std::to_string(models[index].cost));
-    obs::CurrentRegistry()
-        .histogram("repair.problem_solve_seconds")
-        .Observe(solve_times[index]);
+    outcome.stats.solve_wall_seconds += Seconds(solve_start);
+
+    for (size_t i : round) {
+      Group& group = groups[i];
+      const MaxSmtResult& model = group.model;
+      const ConstraintSystem& system = group.encoder->system();
+      outcome.stats.solve_seconds += group.seconds;
+      ProblemReport report;
+      report.dsts = group.full.dsts;
+      report.status = model.status;
+      report.attempts = model.attempts;
+      report.backend = model.backend;
+      report.solve_seconds = group.seconds;
+      report.cost = model.cost;
+      report.message = model.message;
+      report.certification = model.certification;
+      report.certify_message = model.certify_message;
+      report.certificate = model.certificate;
+      switch (report.certification) {
+        case MaxSmtResult::Certification::kNone:
+          break;
+        case MaxSmtResult::Certification::kVerified:
+          ++outcome.stats.certify_checked;
+          ++outcome.stats.certify_verified;
+          break;
+        case MaxSmtResult::Certification::kFailed:
+          ++outcome.stats.certify_checked;
+          ++outcome.stats.certify_failed;
+          break;
+      }
+      report.solver_counters = model.solver_counters;
+      for (const auto& [name, value] : report.solver_counters) {
+        counter_totals[name] += value;
+      }
+      for (int soft_index : model.violated_soft) {
+        const SoftConstraint& soft = system.soft()[static_cast<size_t>(soft_index)];
+        report.violated_softs.emplace_back(soft.label, soft.weight);
+      }
+      for (int hard_index : model.unsat_core) {
+        const std::string& label = system.HardLabel(static_cast<size_t>(hard_index));
+        // Many hard constraints share one policy tag; keep distinct labels.
+        if (std::find(report.unsat_core_labels.begin(), report.unsat_core_labels.end(),
+                      label) == report.unsat_core_labels.end()) {
+          report.unsat_core_labels.push_back(label);
+        }
+      }
+      if (model.status == MaxSmtResult::Status::kUnsat) {
+        obs::UnsatCoreReport core;
+        core.problem = static_cast<int>(i);
+        core.backend = report.backend;
+        core.labels = report.unsat_core_labels;
+        outcome.provenance.unsat_cores.push_back(std::move(core));
+      }
+      outcome.stats.problem_reports[i] = std::move(report);
+      group.edits = RepairEdits{};
+      if (model.ok()) {
+        group.encoder->CollectEdits(model, &group.edits);
+        DecodeLayers(group, &outcome.repaired);
+      }
+    }
+    return Status::Ok();
   };
-  Clock::time_point solve_start = Clock::now();
-  {
-    obs::StageSpan solve_span("repair.solve");
-    if (options.solve_runner != nullptr) {
-      // Shared-executor mode: one task per problem, so the per-dst problems
-      // of concurrent repair requests interleave fairly across one bounded
-      // pool. Each task builds its own backend (Z3 contexts are per call;
-      // internal backend construction is cheap) and the submitter blocks
-      // until every one of *its* tasks finished — tasks never block on other
-      // tasks, so a fixed-size pool cannot deadlock.
-      std::mutex done_mu;
-      std::condition_variable done_cv;
-      size_t done = 0;
-      for (size_t i = 0; i < problems.size(); ++i) {
-        options.solve_runner->Submit([&, i]() {
-          {
-            obs::RegistryScope registry_scope(request_registry);
-            obs::TraceScope trace_scope(request_trace);
-            MaxSmtBackend* warm =
-                options.warm_backends == nullptr
-                    ? nullptr
-                    : options.warm_backends->BackendFor(ProblemKey(problems[i]),
-                                                        options.backend);
-            std::unique_ptr<MaxSmtBackend> backend =
-                MakeWorkerBackend(options, deadline, warm);
-            solve_one(i, backend.get());
-          }
-          {
-            // Notify while still holding the lock: the waiting submitter owns
-            // done_mu/done_cv on its stack, and the moment it observes the
-            // final count it may return and destroy both. Signalling after
-            // unlock would race with that destruction.
-            std::lock_guard<std::mutex> lock(done_mu);
-            ++done;
-            done_cv.notify_one();
-          }
-        });
-      }
-      std::unique_lock<std::mutex> lock(done_mu);
-      done_cv.wait(lock, [&] { return done == problems.size(); });
-    } else {
-      std::atomic<size_t> next{0};
-      auto worker = [&]() {
-        obs::RegistryScope registry_scope(request_registry);
-        obs::TraceScope trace_scope(request_trace);
-        // Without warm state one solver stack serves the whole worker; with a
-        // provider the primary is problem-keyed, so the stack is per problem.
-        std::unique_ptr<MaxSmtBackend> shared;
-        if (options.warm_backends == nullptr) {
-          shared = MakeWorkerBackend(options, deadline);
-        }
-        while (true) {
-          size_t index = next.fetch_add(1);
-          if (index >= problems.size()) {
-            return;
-          }
-          if (options.warm_backends != nullptr) {
-            MaxSmtBackend* warm = options.warm_backends->BackendFor(
-                ProblemKey(problems[index]), options.backend);
-            std::unique_ptr<MaxSmtBackend> backend =
-                MakeWorkerBackend(options, deadline, warm);
-            solve_one(index, backend.get());
-          } else {
-            solve_one(index, shared.get());
-          }
-        }
-      };
-      int worker_count = std::max(
-          1, std::min<int>(options.num_threads, static_cast<int>(problems.size())));
-      if (worker_count == 1) {
-        worker();
-      } else {
-        std::vector<std::thread> threads;
-        threads.reserve(static_cast<size_t>(worker_count));
-        for (int i = 0; i < worker_count; ++i) {
-          threads.emplace_back(worker);
-        }
-        for (std::thread& thread : threads) {
-          thread.join();
-        }
-      }
-    }
-  }
-  outcome.stats.solve_wall_seconds = Seconds(solve_start);
-  for (double t : solve_times) {
-    outcome.stats.solve_seconds += t;
-  }
 
-  // Record per-problem diagnostics and classify the run.
-  outcome.stats.problem_reports.reserve(problems.size());
-  std::map<std::string, double> counter_totals;
-  for (size_t i = 0; i < problems.size(); ++i) {
-    ProblemReport report;
-    report.dsts = problems[i].dsts;
-    report.status = models[i].status;
-    report.attempts = models[i].attempts;
-    report.backend = models[i].backend;
-    report.solve_seconds = solve_times[i];
-    report.cost = models[i].cost;
-    report.message = models[i].message;
-    report.certification = models[i].certification;
-    report.certify_message = models[i].certify_message;
-    report.certificate = models[i].certificate;
-    switch (report.certification) {
-      case MaxSmtResult::Certification::kNone:
-        break;
-      case MaxSmtResult::Certification::kVerified:
-        ++outcome.stats.certify_checked;
-        ++outcome.stats.certify_verified;
-        break;
-      case MaxSmtResult::Certification::kFailed:
-        ++outcome.stats.certify_checked;
-        ++outcome.stats.certify_failed;
-        break;
+  // Round 1, then the graph check of every deferred policy. A group whose
+  // model breaks one is re-solved once with its full policy list — exactly
+  // the encoding a single-round repair would have built. A failed first
+  // round is the group's verdict: it is a relaxation of the full problem.
+  std::vector<size_t> round;
+  for (size_t i = 0; i < groups.size(); ++i) {
+    round.push_back(i);
+  }
+  if (Status status = run_round(round); !status.ok()) {
+    return status.error();
+  }
+  round.clear();
+  for (size_t i = 0; i < groups.size(); ++i) {
+    Group& group = groups[i];
+    if (!group.model.ok() || group.deferred.empty() ||
+        DeferredPoliciesHold(group, &outcome.repaired)) {
+      continue;
     }
-    report.solver_counters = models[i].solver_counters;
-    for (const auto& [name, value] : report.solver_counters) {
-      counter_totals[name] += value;
+    outcome.stats.superseded_reports.push_back(std::move(outcome.stats.problem_reports[i]));
+    RestoreLayers(original, group.full, &outcome.repaired);
+    group.encoder.reset();  // It refers to the `encoded` problem replaced here.
+    group.encoded = group.full;
+    group.deferred.clear();
+    round.push_back(i);
+  }
+  outcome.stats.groups_escalated = static_cast<int>(round.size());
+  registry.counter("repair.groups_escalated").Add(outcome.stats.groups_escalated);
+  if (!round.empty()) {
+    if (Status status = run_round(round); !status.ok()) {
+      return status.error();
     }
-    const ConstraintSystem& system = encoders[i]->system();
-    for (int soft_index : models[i].violated_soft) {
-      const SoftConstraint& soft = system.soft()[static_cast<size_t>(soft_index)];
-      report.violated_softs.emplace_back(soft.label, soft.weight);
-    }
-    for (int hard_index : models[i].unsat_core) {
-      const std::string& label = system.HardLabel(static_cast<size_t>(hard_index));
-      // Many hard constraints share one policy tag; keep distinct labels.
-      if (std::find(report.unsat_core_labels.begin(), report.unsat_core_labels.end(),
-                    label) == report.unsat_core_labels.end()) {
-        report.unsat_core_labels.push_back(label);
-      }
-    }
-    if (models[i].status == MaxSmtResult::Status::kUnsat) {
-      obs::UnsatCoreReport core;
-      core.problem = static_cast<int>(i);
-      core.backend = report.backend;
-      core.labels = report.unsat_core_labels;
-      outcome.provenance.unsat_cores.push_back(std::move(core));
-    }
-    if (report.solved()) {
+  }
+  for (const Group& group : groups) {
+    if (group.model.ok()) {
       ++outcome.stats.problems_solved;
     } else {
       ++outcome.stats.problems_failed;
     }
-    outcome.stats.problem_reports.push_back(std::move(report));
   }
-  outcome.stats.solver_counter_totals.assign(counter_totals.begin(),
-                                             counter_totals.end());
-  {
-    obs::Registry& registry = obs::CurrentRegistry();
-    registry.counter("repair.problems_solved").Add(outcome.stats.problems_solved);
-    registry.counter("repair.problems_failed").Add(outcome.stats.problems_failed);
-  }
-  // Persist certificate artifacts for offline re-checking (`cpr certify`).
+  outcome.stats.solver_counter_totals.assign(counter_totals.begin(), counter_totals.end());
+  registry.counter("repair.problems_solved").Add(outcome.stats.problems_solved);
+  registry.counter("repair.problems_failed").Add(outcome.stats.problems_failed);
+
+  // Persist certificate artifacts for offline re-checking (`cpr certify`),
+  // one per solve that produced a certificate, superseded rounds included.
   // This runs even when every problem failed — UNSAT certificates are
   // exactly what a post-mortem wants. The sequence counter is process-wide
   // so successive runs into one directory never collide.
@@ -541,13 +759,12 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
     std::filesystem::create_directories(options.certify_artifact_dir, ec);
     static std::atomic<uint64_t> artifact_seq{0};
     int written = 0;
-    for (size_t i = 0; i < problems.size(); ++i) {
-      const ProblemReport& report = outcome.stats.problem_reports[i];
+    auto write = [&](const ProblemReport& report) {
       if (report.certificate == nullptr) {
-        continue;
+        return;
       }
       Certificate cert = *report.certificate;
-      cert.problem = ProblemKey(problems[i]);
+      cert.problem = ProblemKey(report.dsts);
       const uint64_t seq = artifact_seq.fetch_add(1);
       const std::string path = options.certify_artifact_dir + "/p" +
                                std::to_string(seq) + "-" +
@@ -555,18 +772,22 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
       if (certify::WriteCertificateFile(path, cert).ok()) {
         ++written;
       } else {
-        obs::CurrentRegistry().counter("certify.artifact_errors").Increment();
+        registry.counter("certify.artifact_errors").Increment();
       }
-    }
+    };
+    std::for_each(outcome.stats.superseded_reports.begin(),
+                  outcome.stats.superseded_reports.end(), write);
+    std::for_each(outcome.stats.problem_reports.begin(),
+                  outcome.stats.problem_reports.end(), write);
     outcome.stats.certify_artifacts = written;
-    obs::CurrentRegistry().counter("certify.artifacts").Add(written);
+    registry.counter("certify.artifacts").Add(written);
     certify_span.Annotate("artifacts", std::to_string(written));
   }
   auto overall_failure = [&]() {
-    // The first failed problem (in problem order) names the run's status,
+    // The first failed group (in group order) names the run's status,
     // matching the pre-partial pipeline's abort-on-first-failure semantics.
-    for (const MaxSmtResult& model : models) {
-      switch (model.status) {
+    for (const Group& group : groups) {
+      switch (group.model.status) {
         case MaxSmtResult::Status::kOptimal:
           break;
         case MaxSmtResult::Status::kUnsat:
@@ -583,52 +804,35 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
   };
   if (outcome.stats.problems_solved == 0 ||
       (outcome.stats.problems_failed > 0 && !options.allow_partial)) {
+    outcome.repaired = original;
     outcome.status = overall_failure();
     outcome.stats.wall_seconds = Seconds(wall_start);
     return outcome;
   }
 
-  // Merge the solved models into the repaired HARC. Failed problems are
-  // skipped: their dETGs/tcETGs stay exactly as in the original (the
-  // `settled` sets below also shield them from re-derivation), so a partial
-  // repair degrades gracefully instead of corrupting unsolved destinations.
+  // Merge the solved models. Their layers are already decoded into the
+  // repaired HARC; failed groups' dETGs/tcETGs stay exactly as in the
+  // original (the `settled` sets below also shield them from re-derivation),
+  // so a partial repair degrades gracefully instead of corrupting unsolved
+  // destinations. A group's deferred traffic classes were derived by the
+  // same rule the propagation below applies, so they count as settled too.
   const EtgUniverse& universe = original.universe();
   std::set<SubnetId> settled_dsts;
   std::set<std::pair<SubnetId, SubnetId>> settled_tcs;
-  for (size_t i = 0; i < problems.size(); ++i) {
-    const RepairProblem& problem = problems[i];
-    const RepairEncoder& encoder = *encoders[i];
-    const MaxSmtResult& model = models[i];
+  for (size_t i = 0; i < groups.size(); ++i) {
+    Group& group = groups[i];
+    settled_dsts.insert(group.full.dsts.begin(), group.full.dsts.end());
+    settled_tcs.insert(group.full.tcs.begin(), group.full.tcs.end());
+    const MaxSmtResult& model = group.model;
     if (!model.ok()) {
-      settled_dsts.insert(problem.dsts.begin(), problem.dsts.end());
-      settled_tcs.insert(problem.tcs.begin(), problem.tcs.end());
       continue;
     }
     outcome.predicted_cost += model.cost;
-    if (problem.mutable_aetg) {
-      for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
-        outcome.repaired.mutable_aetg().SetPresent(e, encoder.DecodeAll(model, e));
-      }
-    }
-    for (SubnetId dst : problem.dsts) {
-      settled_dsts.insert(dst);
-      for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
-        outcome.repaired.mutable_detg(dst).SetPresent(e, encoder.DecodeDst(model, dst, e));
-      }
-    }
-    for (const auto& [src, dst] : problem.tcs) {
-      settled_tcs.insert({src, dst});
-      for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
-        outcome.repaired.mutable_tcetg(src, dst).SetPresent(
-            e, encoder.DecodeTc(model, src, dst, e));
-      }
-    }
-    // Collect this problem's edits into their own record first: every entry
-    // belongs to problem `i`, which is what lets each edit's provenance
-    // chain name its owning problem and the soft constraint it flipped — and
-    // what the incremental engine replays for untouched groups.
-    RepairEdits problem_edits;
-    encoder.CollectEdits(model, &problem_edits);
+    // Every edit of this group belongs to its final solve, which is what
+    // lets each edit's provenance chain name its owning problem report and
+    // the soft constraint it flipped — and what the incremental engine
+    // replays for untouched groups.
+    const RepairProblem& problem = group.encoded;
     const Network& problem_network = original.network();
     auto attach = [&](const auto& edits_vec) {
       for (size_t j = 0; j < edits_vec.size(); ++j) {
@@ -645,7 +849,7 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
         for (const Policy& policy : problem.policies) {
           chain.policies.push_back(policy.ToString(problem_network));
         }
-        const auto& softs = encoder.system().soft();
+        const auto& softs = group.encoder->system().soft();
         for (int soft_index : model.violated_soft) {
           const SoftConstraint& soft = softs[static_cast<size_t>(soft_index)];
           if (soft.label == construct) {
@@ -663,6 +867,7 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
         }
       }
     };
+    const RepairEdits& problem_edits = group.edits;
     attach(problem_edits.adjacencies);
     attach(problem_edits.redistributions);
     attach(problem_edits.filters);
@@ -680,7 +885,7 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
     splice(&outcome.edits.acls, problem_edits.acls);
     splice(&outcome.edits.costs, problem_edits.costs);
     splice(&outcome.edits.waypoints, problem_edits.waypoints);
-    outcome.stats.problem_reports[i].edits = std::move(problem_edits);
+    outcome.stats.problem_reports[i].edits = std::move(group.edits);
   }
 
   // Propagate changes to ETGs that were not encoded, by re-deriving them
@@ -729,32 +934,8 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
       if (s == d || settled_tcs.count({s, d}) > 0) {
         continue;
       }
-      const TrafficClass tc(network.subnets()[static_cast<size_t>(s)].prefix, dst_prefix);
-      const Etg& detg = outcome.repaired.detg(d);
-      Etg& tcetg = outcome.repaired.mutable_tcetg(s, d);
-      for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
-        const CandidateEdge& edge = universe.edge(e);
-        bool value = detg.IsPresent(e);
-        if (value) {
-          switch (edge.kind) {
-            case EtgEdgeKind::kInterDevice:
-              value = !LinkAclBlocks(network, edge.link, edge.device, tc);
-              break;
-            case EtgEdgeKind::kEndpointSrc:
-              value = edge.subnet == s &&
-                      !EndpointAclBlocks(network, edge.subnet, /*src_side=*/true, tc);
-              break;
-            case EtgEdgeKind::kEndpointDst:
-              value = edge.subnet == d &&
-                      !EndpointAclBlocks(network, edge.subnet, /*src_side=*/false, tc);
-              break;
-            case EtgEdgeKind::kIntraSelf:
-            case EtgEdgeKind::kRedistribution:
-              break;
-          }
-        }
-        tcetg.SetPresent(e, value);
-      }
+      DeriveTcEtg(network, universe, s, d, outcome.repaired.detg(d),
+                  &outcome.repaired.mutable_tcetg(s, d));
     }
   }
 

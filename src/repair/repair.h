@@ -9,6 +9,14 @@
 // fixed so the problems commute, and every destination carrying a PC4
 // policy is merged into one problem because edge costs are global.
 //
+// Each problem is solved in up to two rounds. The first encodes only the
+// group's violated policies (plus any PC4/PC5 policy, whose graph checks are
+// looser than their encodings); the satisfied rest are then checked on the
+// graph against the solved layers. A group whose model breaks one of them is
+// re-solved once with its full policy list. A first-round model that passes
+// extends to an optimum of the full encoding, so the cost never changes
+// (DESIGN.md §4).
+//
 // After solving, changes propagate to the ETGs that were not encoded: an
 // unpoliced destination's dETG follows the aETG wherever it originally
 // aligned with it and keeps its original deviations (static routes, route
@@ -72,8 +80,9 @@ inline const char* RepairStatusName(RepairStatus status) {
   return "?";
 }
 
-// Per-problem diagnostic record: every formulated MaxSMT problem gets one,
-// whether it solved or failed. `dsts` identifies the problem (the
+// Per-solve diagnostic record: every solver call on a formulated MaxSMT
+// problem gets one, whether it solved or failed (see
+// RepairStats::problem_reports and superseded_reports). `dsts` identifies the problem (the
 // destination group it repairs); provenance mirrors MaxSmtResult.
 struct ProblemReport {
   std::vector<SubnetId> dsts;
@@ -115,6 +124,11 @@ struct RepairStats {
   int problems_solved = 0;
   int problems_failed = 0;
   int destinations_skipped = 0;
+  // Satisfied policies left out of their group's first round (DESIGN.md §4),
+  // and groups re-solved with every policy because a first-round model broke
+  // one of them on the graph.
+  int policies_deferred = 0;
+  int groups_escalated = 0;
   double encode_seconds = 0;
   // Per-problem solve time SUMMED over problems — a CPU-style total that
   // exceeds elapsed time on parallel runs. Display it labeled as a sum.
@@ -133,8 +147,13 @@ struct RepairStats {
   int certify_verified = 0;
   int certify_failed = 0;
   int certify_artifacts = 0;
-  // One entry per formulated problem, in problem order.
+  // One entry per formulated problem, in problem order: its final solve.
   std::vector<ProblemReport> problem_reports;
+  // The first-round solves of escalated groups, in problem order: they ran
+  // (and count in bool_vars, solve_seconds and the certify totals), but a
+  // broken deferred policy sent the group to a full re-solve, whose report
+  // is the one in problem_reports. Their `edits` are always empty.
+  std::vector<ProblemReport> superseded_reports;
   // Sum of per-problem solver counters across all problem reports.
   std::vector<std::pair<std::string, double>> solver_counter_totals;
   // Filled by the core pipeline's lint gate and post-translate audit (all

@@ -21,7 +21,7 @@ namespace {
 class Z3Translator {
  public:
   Z3Translator(z3::context* ctx, const ConstraintSystem& system)
-      : ctx_(ctx), system_(&system), cache_(static_cast<size_t>(system.BoolCount()), -1) {
+      : ctx_(ctx), system_(&system) {
     bool_consts_.reserve(static_cast<size_t>(system.BoolCount()));
     for (BVarId v = 0; v < system.BoolCount(); ++v) {
       bool_consts_.push_back(ctx_->bool_const(system.BoolName(v).c_str()));
@@ -90,8 +90,6 @@ class Z3Translator {
   const ConstraintSystem* system_;
   std::vector<z3::expr> bool_consts_;
   std::vector<z3::expr> int_consts_;
-  std::vector<int> cache_;  // Reserved for subtree sharing; Z3 hash-conses
-                            // internally so re-translation is cheap.
 };
 
 // Best-effort unsat core for an UNSAT system: re-check with a plain

@@ -856,6 +856,10 @@ int CmdRepair(const cpr::Cpr& pipeline, const std::vector<cpr::Policy>& policies
       report->stats.encode_seconds, report->stats.solve_seconds,
       report->stats.problems_formulated, report->stats.solve_wall_seconds,
       report->stats.wall_seconds);
+  if (report->stats.policies_deferred > 0) {
+    std::printf("rounds: %d satisfied policies deferred, %d group(s) re-solved in full\n",
+                report->stats.policies_deferred, report->stats.groups_escalated);
+  }
   if (report->status != cpr::RepairStatus::kSuccess &&
       report->status != cpr::RepairStatus::kPartial) {
     std::fprintf(stderr, "repair failed: %s\n", cpr::RepairStatusName(report->status));

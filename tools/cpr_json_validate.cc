@@ -13,7 +13,18 @@
 //                                        schema_version/reason/requests/
 //                                        recent_events, every embedded event
 //                                        held to the same rules as --events
-//   cpr_json_validate [--events|--flight]   (no files) validate stdin
+//   cpr_json_validate --stats FILE...    validate a --stats-json run record:
+//                                        the stats schema_version, and when
+//                                        a "repair" section is present its
+//                                        counts (problems_formulated,
+//                                        problems_solved, problems_failed,
+//                                        policies_deferred, groups_escalated,
+//                                        bool_vars) are non-negative numbers,
+//                                        "problems" holds one entry per
+//                                        formulated problem, and
+//                                        "superseded_problems" one per
+//                                        escalated group
+//   cpr_json_validate [--events|--flight|--stats]   (no files) validate stdin
 
 #include <cstdio>
 #include <fstream>
@@ -182,10 +193,61 @@ int ValidateFlight(const std::string& label, const std::string& text) {
   return 0;
 }
 
+int ValidateStats(const std::string& label, const std::string& text) {
+  std::string error;
+  JsonValue doc;
+  if (!cpr::obs::ParseJson(text, &doc, &error)) {
+    return Fail(label, "invalid JSON: " + error);
+  }
+  if (doc.type != JsonValue::Type::kObject) {
+    return Fail(label, "stats document is not a JSON object");
+  }
+  const JsonValue* version = doc.Find("schema_version");
+  if (version == nullptr || version->AsInt() != cpr::kStatsSchemaVersion) {
+    return Fail(label, "missing/unknown schema_version");
+  }
+  const JsonValue* repair = doc.Find("repair");
+  if (repair == nullptr) {
+    std::printf("%s: valid stats document (no repair section)\n", label.c_str());
+    return 0;
+  }
+  if (repair->type != JsonValue::Type::kObject) {
+    return Fail(label, "\"repair\" is not a JSON object");
+  }
+  for (const char* key : {"problems_formulated", "problems_solved", "problems_failed",
+                          "policies_deferred", "groups_escalated", "bool_vars"}) {
+    const JsonValue* value = repair->Find(key);
+    if (value == nullptr || !value->IsNumber() || value->AsInt() < 0) {
+      return Fail(label, std::string("repair: missing non-negative \"") + key + "\"");
+    }
+  }
+  const auto array_of = [repair](const char* key) -> const JsonValue* {
+    const JsonValue* value = repair->Find(key);
+    return value != nullptr && value->type == JsonValue::Type::kArray ? value : nullptr;
+  };
+  const JsonValue* problems = array_of("problems");
+  const JsonValue* superseded = array_of("superseded_problems");
+  if (problems == nullptr || superseded == nullptr) {
+    return Fail(label, "repair: missing array \"problems\" or \"superseded_problems\"");
+  }
+  const int64_t formulated = repair->Find("problems_formulated")->AsInt();
+  const int64_t escalated = repair->Find("groups_escalated")->AsInt();
+  if (static_cast<int64_t>(problems->items.size()) != formulated) {
+    return Fail(label, "repair: \"problems\" length differs from problems_formulated");
+  }
+  if (static_cast<int64_t>(superseded->items.size()) != escalated) {
+    return Fail(label,
+                "repair: \"superseded_problems\" length differs from groups_escalated");
+  }
+  std::printf("%s: valid stats document (%lld problems, %lld escalated)\n", label.c_str(),
+              static_cast<long long>(formulated), static_cast<long long>(escalated));
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  enum class Mode { kDocument, kEvents, kFlight };
+  enum class Mode { kDocument, kEvents, kFlight, kStats };
   Mode mode = Mode::kDocument;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
@@ -194,6 +256,8 @@ int main(int argc, char** argv) {
       mode = Mode::kEvents;
     } else if (arg == "--flight") {
       mode = Mode::kFlight;
+    } else if (arg == "--stats") {
+      mode = Mode::kStats;
     } else {
       files.push_back(arg);
     }
@@ -202,6 +266,7 @@ int main(int argc, char** argv) {
     switch (mode) {
       case Mode::kEvents: return ValidateEvents(label, text);
       case Mode::kFlight: return ValidateFlight(label, text);
+      case Mode::kStats: return ValidateStats(label, text);
       case Mode::kDocument: break;
     }
     return Validate(label, text);
