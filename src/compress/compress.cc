@@ -238,7 +238,8 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
     }
   }
 
-  const std::vector<RepairProblem> groups = PartitionProblems(harc, policies, options);
+  const std::vector<RepairProblem> groups =
+      PartitionProblems(harc, policies, options, FindViolations(harc, policies));
   stats.groups_total = static_cast<int>(groups.size());
   if (groups.empty()) {
     return decline("no violations");

@@ -111,12 +111,12 @@ std::map<int, std::set<SubnetId>> GroupPoliciedDsts(const Harc& harc,
   return members;
 }
 
-// PartitionProblems over a precomputed violation list, so ComputeRepair can
-// reuse the same list to split each group's policies into rounds.
-std::vector<RepairProblem> PartitionWithViolations(const Harc& harc,
-                                                   const std::vector<Policy>& policies,
-                                                   const RepairOptions& options,
-                                                   const std::vector<Policy>& violations) {
+}  // namespace
+
+std::vector<RepairProblem> PartitionProblems(const Harc& harc,
+                                             const std::vector<Policy>& policies,
+                                             const RepairOptions& options,
+                                             const std::vector<Policy>& violations) {
   std::vector<RepairProblem> problems;
   if (policies.empty()) {
     return problems;
@@ -154,17 +154,6 @@ std::vector<RepairProblem> PartitionWithViolations(const Harc& harc,
     }
   }
   return problems;
-}
-
-}  // namespace
-
-std::vector<RepairProblem> PartitionProblems(const Harc& harc,
-                                             const std::vector<Policy>& policies,
-                                             const RepairOptions& options) {
-  if (options.granularity == Granularity::kAllTcs) {
-    return PartitionWithViolations(harc, policies, options, {});
-  }
-  return PartitionWithViolations(harc, policies, options, FindViolations(harc, policies));
 }
 
 std::vector<RepairProblem> PartitionAllGroups(const Harc& harc,
@@ -266,33 +255,43 @@ std::unique_ptr<MaxSmtBackend> MakeWorkerBackend(const RepairOptions& options,
 
 namespace {
 
-// One solver call: the system to solve, the warm-state key of its group, and
-// where its result and elapsed time land.
-struct SolveJob {
-  const ConstraintSystem* system = nullptr;
-  std::string key;
-  MaxSmtResult* model = nullptr;
-  double* seconds = nullptr;
+// A formulated destination group across its solve rounds. `encoded` is the
+// problem the current encoder holds: first the group's undeferred policies,
+// then (after an escalation) `full`, the whole-group problem.
+struct Group {
+  RepairProblem full;
+  RepairProblem encoded;
+  std::vector<Policy> deferred;
+  bool escalated = false;
+  std::unique_ptr<RepairEncoder> encoder;
+  MaxSmtResult model;
+  double seconds = 0;
+  RepairEdits edits;  // The model's construct edits (solved groups only).
 };
 
-// Solves every job, optionally in parallel, largest first (by hard
-// constraint count) so the longest solve never starts last. Every result is
-// recorded individually: a failed problem (timeout/unsat/unsupported/error)
-// never aborts the run, and an exception in a backend is converted to a
-// result instead of terminating the worker thread. Each solve runs on its
-// own fresh backend state, so the order never changes a model.
-void SolveJobs(std::vector<SolveJob> jobs, const RepairOptions& options,
-               const Deadline& deadline) {
-  std::stable_sort(jobs.begin(), jobs.end(), [](const SolveJob& a, const SolveJob& b) {
-    return a.system->hard().size() > b.system->hard().size();
-  });
+// Warm-state key of the group's current system. A warm backend reuses state
+// only for an identical system, so an escalated group's full re-solve gets a
+// key of its own rather than evicting its first round's state.
+std::string SolveKey(const Group& group) {
+  return ProblemKey(group.full.dsts) + (group.escalated ? "/full" : "");
+}
+
+// Solves every group's encoded system into its `model`, optionally in
+// parallel. Every result is recorded individually: a failed problem
+// (timeout/unsat/unsupported/error) never aborts the run, and an exception in
+// a backend is converted to a result instead of terminating the worker
+// thread.
+void SolveGroups(const std::vector<Group*>& groups, const RepairOptions& options,
+                 const Deadline& deadline) {
   // Workers and pool tasks inherit the submitting thread's registry and
   // trace, so a per-request RegistryScope installed around the repair covers
   // the whole parallel solve — concurrent requests never interleave counts.
   obs::Registry* request_registry = &obs::CurrentRegistry();
   obs::Trace* request_trace = &obs::CurrentTrace();
-  auto solve_one = [&](const SolveJob& job, MaxSmtBackend* backend) {
-    MaxSmtResult& model = *job.model;
+  auto solve_one = [&](Group* group, MaxSmtBackend* backend) {
+    MaxSmtResult& model = group->model;
+    model = MaxSmtResult{};
+    group->seconds = 0;
     if (deadline.Expired()) {
       model.status = MaxSmtResult::Status::kTimeout;
       model.backend = backend->name();
@@ -306,8 +305,8 @@ void SolveJobs(std::vector<SolveJob> jobs, const RepairOptions& options,
     try {
       const double budget = deadline.ClampTimeout(options.timeout_seconds);
       model = options.certify != certify::CertifyMode::kOff
-                  ? backend->SolveCertified(*job.system, budget)
-                  : backend->Solve(*job.system, budget);
+                  ? backend->SolveCertified(group->encoder->system(), budget)
+                  : backend->Solve(group->encoder->system(), budget);
     } catch (const std::exception& e) {
       // The failover decorator already catches; this is the last line of
       // defense so a worker can never call std::terminate.
@@ -319,18 +318,19 @@ void SolveJobs(std::vector<SolveJob> jobs, const RepairOptions& options,
       model.status = MaxSmtResult::Status::kError;
       model.message = "unknown exception in solver worker";
     }
-    *job.seconds = Seconds(start);
+    group->seconds = Seconds(start);
     // Per-problem solver events for trace exports (--trace-out).
-    problem_span.Annotate("problem", job.key);
+    problem_span.Annotate("problem", SolveKey(*group));
     problem_span.Annotate("backend", model.backend);
     problem_span.Annotate("status", MaxSmtStatusName(model.status));
     problem_span.Annotate("cost", std::to_string(model.cost));
-    obs::CurrentRegistry().histogram("repair.problem_solve_seconds").Observe(*job.seconds);
+    obs::CurrentRegistry().histogram("repair.problem_solve_seconds").Observe(group->seconds);
   };
-  auto backend_for = [&](const SolveJob& job) {
-    MaxSmtBackend* warm = options.warm_backends == nullptr
-                              ? nullptr
-                              : options.warm_backends->BackendFor(job.key, options.backend);
+  auto backend_for = [&](const Group* group) {
+    MaxSmtBackend* warm =
+        options.warm_backends == nullptr
+            ? nullptr
+            : options.warm_backends->BackendFor(SolveKey(*group), options.backend);
     return MakeWorkerBackend(options, deadline, warm);
   };
   if (options.solve_runner != nullptr) {
@@ -343,13 +343,13 @@ void SolveJobs(std::vector<SolveJob> jobs, const RepairOptions& options,
     std::mutex done_mu;
     std::condition_variable done_cv;
     size_t done = 0;
-    for (const SolveJob& job : jobs) {
-      options.solve_runner->Submit([&, job]() {
+    for (Group* group : groups) {
+      options.solve_runner->Submit([&, group]() {
         {
           obs::RegistryScope registry_scope(request_registry);
           obs::TraceScope trace_scope(request_trace);
-          std::unique_ptr<MaxSmtBackend> backend = backend_for(job);
-          solve_one(job, backend.get());
+          std::unique_ptr<MaxSmtBackend> backend = backend_for(group);
+          solve_one(group, backend.get());
         }
         {
           // Notify while still holding the lock: the waiting submitter owns
@@ -363,7 +363,7 @@ void SolveJobs(std::vector<SolveJob> jobs, const RepairOptions& options,
       });
     }
     std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return done == jobs.size(); });
+    done_cv.wait(lock, [&] { return done == groups.size(); });
     return;
   }
   std::atomic<size_t> next{0};
@@ -378,19 +378,19 @@ void SolveJobs(std::vector<SolveJob> jobs, const RepairOptions& options,
     }
     while (true) {
       size_t index = next.fetch_add(1);
-      if (index >= jobs.size()) {
+      if (index >= groups.size()) {
         return;
       }
       if (options.warm_backends != nullptr) {
-        std::unique_ptr<MaxSmtBackend> backend = backend_for(jobs[index]);
-        solve_one(jobs[index], backend.get());
+        std::unique_ptr<MaxSmtBackend> backend = backend_for(groups[index]);
+        solve_one(groups[index], backend.get());
       } else {
-        solve_one(jobs[index], shared.get());
+        solve_one(groups[index], shared.get());
       }
     }
   };
   int worker_count =
-      std::max(1, std::min<int>(options.num_threads, static_cast<int>(jobs.size())));
+      std::max(1, std::min<int>(options.num_threads, static_cast<int>(groups.size())));
   if (worker_count == 1) {
     worker();
     return;
@@ -436,17 +436,42 @@ void DeriveTcEtg(const Network& network, const EtgUniverse& universe, SubnetId s
   }
 }
 
+// Whether each link direction backs at most one inter-device candidate
+// edge, i.e. both ends of every link run a single routing process. Only then
+// does the PC3 checker agree with the PC3 encoding: the checker counts
+// edge-disjoint flow (capacity 1 per candidate edge), the encoding at most
+// one path per physical link (constraint 12). With one edge per direction,
+// flow over both directions of a link cancels, so the counts are equal; with
+// two process pairs on one direction, the checker counts two paths the
+// encoding allows once.
+bool OneEdgePerLinkDirection(const EtgUniverse& universe) {
+  std::set<std::pair<LinkId, DeviceId>> directions;
+  for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
+    const CandidateEdge& edge = universe.edge(e);
+    if (edge.kind == EtgEdgeKind::kInterDevice &&
+        !directions.insert({edge.link, edge.device}).second) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Whether a satisfied policy may be left out of its group's first round.
-// The graph checks of PC1-PC3 agree with their encodings (PC3's when each
-// link backs one adjacency per direction), so a first-round model that
-// passes them extends to a model of the full encoding at the same cost.
-// PC4's checker accepts equal-cost ties its encoding forbids, and PC5's
-// ignores edges stranded off every path, so those are always encoded.
-bool Deferrable(const Policy& policy, const std::vector<Policy>& violations) {
+// The graph checks of PC1 and PC2 agree with their encodings, and PC3's
+// does when `pc3_check_exact` (OneEdgePerLinkDirection), so a first-round
+// model that passes them extends to a model of the full encoding at the
+// same cost. PC4's checker accepts equal-cost ties its encoding forbids, and
+// PC5's ignores edges stranded off every path, so those are always encoded.
+bool Deferrable(const Policy& policy, const std::vector<Policy>& violations,
+                bool pc3_check_exact) {
   switch (policy.pc) {
+    case PolicyClass::kReachability:
+      if (!pc3_check_exact) {
+        return false;
+      }
+      [[fallthrough]];
     case PolicyClass::kAlwaysBlocked:
     case PolicyClass::kAlwaysWaypoint:
-    case PolicyClass::kReachability:
       return std::find(violations.begin(), violations.end(), policy) == violations.end();
     case PolicyClass::kPrimaryPath:
     case PolicyClass::kIsolation:
@@ -454,19 +479,6 @@ bool Deferrable(const Policy& policy, const std::vector<Policy>& violations) {
   }
   return false;
 }
-
-// A formulated destination group across its solve rounds. `encoded` is the
-// problem the current encoder holds: first the group's undeferred policies,
-// then (after an escalation) `full`, the whole-group problem.
-struct Group {
-  RepairProblem full;
-  RepairProblem encoded;
-  std::vector<Policy> deferred;
-  std::unique_ptr<RepairEncoder> encoder;
-  MaxSmtResult model;
-  double seconds = 0;
-  RepairEdits edits;  // The model's construct edits (solved groups only).
-};
 
 // Writes a solved model's layers into `repaired`.
 void DecodeLayers(const Group& group, Harc* repaired) {
@@ -564,14 +576,16 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
     const std::vector<Policy> violations =
         policies.empty() ? std::vector<Policy>{} : FindViolations(original, policies);
     std::vector<RepairProblem> problems =
-        PartitionWithViolations(original, policies, options, violations);
+        PartitionProblems(original, policies, options, violations);
+    const bool pc3_check_exact = OneEdgePerLinkDirection(original.universe());
     groups.resize(problems.size());
     for (size_t i = 0; i < problems.size(); ++i) {
       Group& group = groups[i];
       group.full = std::move(problems[i]);
       std::vector<Policy> kept;
       for (const Policy& policy : group.full.policies) {
-        (Deferrable(policy, violations) ? group.deferred : kept).push_back(policy);
+        (Deferrable(policy, violations, pc3_check_exact) ? group.deferred : kept)
+            .push_back(policy);
       }
       group.encoded = MakeProblem(
           kept, std::set<SubnetId>(group.full.dsts.begin(), group.full.dsts.end()),
@@ -628,18 +642,14 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
     registry.gauge("repair.hard_constraints").Set(outcome.stats.hard_constraints);
     registry.gauge("repair.soft_constraints").Set(outcome.stats.soft_constraints);
 
-    std::vector<SolveJob> jobs;
+    std::vector<Group*> solving;
     for (size_t i : round) {
-      Group& group = groups[i];
-      group.model = MaxSmtResult{};
-      group.seconds = 0;
-      jobs.push_back({&group.encoder->system(), ProblemKey(group.full.dsts), &group.model,
-                      &group.seconds});
+      solving.push_back(&groups[i]);
     }
     Clock::time_point solve_start = Clock::now();
     {
       obs::StageSpan solve_span("repair.solve");
-      SolveJobs(std::move(jobs), options, deadline);
+      SolveGroups(solving, options, deadline);
     }
     outcome.stats.solve_wall_seconds += Seconds(solve_start);
 
@@ -727,6 +737,7 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
     group.encoder.reset();  // It refers to the `encoded` problem replaced here.
     group.encoded = group.full;
     group.deferred.clear();
+    group.escalated = true;
     round.push_back(i);
   }
   outcome.stats.groups_escalated = static_cast<int>(round.size());

@@ -10,8 +10,9 @@
 // policy is merged into one problem because edge costs are global.
 //
 // Each problem is solved in up to two rounds. The first encodes only the
-// group's violated policies (plus any PC4/PC5 policy, whose graph checks are
-// looser than their encodings); the satisfied rest are then checked on the
+// group's violated policies (plus any PC4/PC5 policy, and PC3 ones where a
+// link direction backs two adjacencies: there the graph checks are looser
+// than the encodings); the satisfied rest are then checked on the
 // graph against the solved layers. A group whose model breaks one of them is
 // re-solved once with its full policy list. A first-round model that passes
 // extends to an optimum of the full encoding, so the cost never changes
@@ -195,10 +196,13 @@ struct RepairOutcome {
 };
 
 // Splits the policies into MaxSMT problems per the chosen granularity.
-// Exposed for tests and the scalability benches.
+// `violations` are the policies that fail on `harc` (FindViolations): per
+// destination, only groups holding one of them become problems; all-tcs
+// formulates its single problem regardless.
 std::vector<RepairProblem> PartitionProblems(const Harc& harc,
                                              const std::vector<Policy>& policies,
-                                             const RepairOptions& options);
+                                             const RepairOptions& options,
+                                             const std::vector<Policy>& violations);
 
 // Like PartitionProblems but WITHOUT the violated-destination filter: one
 // problem per must-solve-together destination group (shared PC4 costs,

@@ -74,7 +74,8 @@ TEST_F(IsolationTest, PerDstPartitioningMergesIsolatedDestinations) {
   };
   RepairOptions options;
   options.granularity = Granularity::kPerDst;
-  std::vector<RepairProblem> problems = PartitionProblems(harc_, policies, options);
+  std::vector<RepairProblem> problems =
+      PartitionProblems(harc_, policies, options, FindViolations(harc_, policies));
   // The isolation pair couples destinations T and U: any problem containing
   // one must contain the other.
   for (const RepairProblem& problem : problems) {

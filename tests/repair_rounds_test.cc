@@ -337,5 +337,126 @@ TEST_F(RepairRoundsTest, IncrementalPathCatchesBreakOnUnencodedTrafficClass) {
   EXPECT_FALSE(outcome->stats.fell_back);
 }
 
+TEST_F(RepairRoundsTest, EscalatingGroupKeepsWarmStateForBothRounds) {
+  // The first round and the full re-solve are different systems; each keeps
+  // its own warm solver state, so re-solving the same snapshot hits both.
+  const std::vector<Policy> policies = Repairable();
+  RepairOptions options = Options();
+  options.granularity = Granularity::kPerDst;
+  std::vector<Config> configs = ParseExampleConfigs();
+  Result<std::shared_ptr<incremental::RepairSession>> session =
+      incremental::BuildSession(configs, network_.annotations(), policies, options);
+  ASSERT_TRUE(session.ok()) << session.error().message();
+  Result<Network> network = Network::Build(configs, network_.annotations());
+  ASSERT_TRUE(network.ok());
+  incremental::DirtySet dirty;
+  incremental::IncrementalStats seed;
+  std::optional<Harc> harc = incremental::PrepareHarc(**session, *network, dirty, &seed);
+  ASSERT_TRUE(harc.has_value());
+
+  std::vector<int> warm_hits;
+  for (int pass = 0; pass < 2; ++pass) {
+    Result<incremental::IncrementalOutcome> outcome = incremental::TryIncrementalRepair(
+        **session, *network, *harc, dirty, policies, options, seed);
+    ASSERT_TRUE(outcome.ok()) << outcome.error().message();
+    ASSERT_TRUE(outcome->result.has_value()) << outcome->stats.skipped_reason;
+    ASSERT_EQ(outcome->result->stats.groups_escalated, 1);
+    warm_hits.push_back(outcome->stats.warm_hits);
+  }
+  EXPECT_EQ(warm_hits, (std::vector<int>{0, 2}));
+}
+
+// ---------------------------------------------------------------------------
+// Two routing processes on one link. X and Y run OSPF and RIP, adjacent in
+// both on the X-Y link; Z offers a second path, but its OSPF interfaces are
+// passive. The PC3 checker counts S->T (k=2) as met by the link's OSPF and
+// RIP adjacencies, while the encoding lets one path use each physical link.
+// Deferring that PC3 would let round 1 fix the violated PC1 U->T beside it
+// and pass the graph check below the full encoding's cost.
+
+Network TwoProcessLinkNetwork() {
+  const std::vector<std::string> texts = {
+      R"(hostname X
+interface xy
+ ip address 10.0.1.1/24
+interface xz
+ ip address 10.0.2.1/24
+interface s
+ ip address 10.1.0.1/24
+interface u
+ ip address 10.3.0.1/24
+router ospf 1
+ redistribute connected
+ passive-interface s
+ passive-interface u
+ network 10.0.1.0/24 area 0
+ network 10.0.2.0/24 area 0
+router rip
+ network 10.0.1.0/24
+ redistribute connected
+)",
+      R"(hostname Y
+interface xy
+ ip address 10.0.1.2/24
+interface yz
+ ip address 10.0.3.2/24
+interface t
+ ip address 10.2.0.1/24
+router ospf 1
+ redistribute connected
+ passive-interface t
+ network 10.0.1.0/24 area 0
+ network 10.0.3.0/24 area 0
+router rip
+ network 10.0.1.0/24
+ redistribute connected
+)",
+      R"(hostname Z
+interface xz
+ ip address 10.0.2.3/24
+interface yz
+ ip address 10.0.3.3/24
+router ospf 1
+ passive-interface xz
+ passive-interface yz
+ network 10.0.2.0/24 area 0
+ network 10.0.3.0/24 area 0
+)",
+  };
+  std::vector<Config> configs;
+  for (const std::string& text : texts) {
+    Result<Config> parsed = ParseConfig(text);
+    EXPECT_TRUE(parsed.ok()) << parsed.error().message();
+    configs.push_back(*std::move(parsed));
+  }
+  Result<Network> network = Network::Build(std::move(configs), NetworkAnnotations{});
+  EXPECT_TRUE(network.ok()) << network.error().message();
+  return *std::move(network);
+}
+
+TEST(RepairRoundsTwoProcessTest, SatisfiedPc3IsEncodedWhenALinkBacksTwoEdges) {
+  const Network network = TwoProcessLinkNetwork();
+  const Harc harc = Harc::Build(network);
+  const SubnetId s = *network.FindSubnet(*Ipv4Prefix::Parse("10.1.0.0/24"));
+  const SubnetId t = *network.FindSubnet(*Ipv4Prefix::Parse("10.2.0.0/24"));
+  const SubnetId u = *network.FindSubnet(*Ipv4Prefix::Parse("10.3.0.0/24"));
+  const std::vector<Policy> policies = {Policy::Reachability(s, t, 2),
+                                        Policy::AlwaysBlocked(u, t)};
+  // The premise: the checker calls PC3 met on the one X-Y link.
+  ASSERT_EQ(FindViolations(harc, policies), std::vector<Policy>{policies[1]});
+
+  for (BackendChoice backend : {BackendChoice::kInternal, BackendChoice::kZ3}) {
+    SCOPED_TRACE(backend == BackendChoice::kZ3 ? "z3" : "internal");
+    RepairOptions options;
+    options.backend = backend;
+    Result<RepairOutcome> outcome = ComputeRepair(harc, policies, options);
+    ASSERT_TRUE(outcome.ok()) << outcome.error().message();
+    const FullEncoding full = SolveFullEncoding(harc, policies, options);
+    EXPECT_EQ(outcome->stats.policies_deferred, 0);
+    EXPECT_EQ(outcome->status, ExpectedStatus(full));
+    EXPECT_EQ(outcome->predicted_cost, full.cost);
+  }
+}
+
 }  // namespace
 }  // namespace cpr
